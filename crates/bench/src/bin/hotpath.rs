@@ -59,16 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:>9} {:<9} [batch:{} ] {:>10.1} cells/s  {:>9.2}x vs scalar  ({} sim cycles per lane)",
             "", "", m.lanes, m.batched_cells_per_sec, m.batch_speedup, m.batched_sim_cycles,
         );
-        println!(
-            "{:>9} {:<9} [lockstep:{}] {:>8.1} cells/s  {:>9.2}x vs scalar  (occupancy {:.2}, fold {:#018x})",
-            "",
-            "",
-            m.lanes,
-            m.lockstep_cells_per_sec,
-            m.lockstep_speedup,
-            m.lockstep_occupancy,
-            m.lockstep_sim_cycles,
-        );
         cases.push(m);
     }
 

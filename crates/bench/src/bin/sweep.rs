@@ -1,6 +1,6 @@
 //! The full experiment sweep: every performance-suite kernel × every
 //! Table 5 machine configuration (baseline, S, S-O, S-O-D, M, M-D), run
-//! by the work-stealing [`Sweep`] engine and written to
+//! by the parallel [`Sweep`] engine and written to
 //! `BENCH_sweep.json` — the machine-readable artifact the figure and
 //! table binaries' numbers are slices of (Figure 5 = the speedup
 //! columns, Table 4 = the baseline ops/cycle column).

@@ -140,10 +140,10 @@ impl PreparedCase {
     }
 
     /// Runs the prepared case once through the lane-batched entry point
-    /// with `lanes` identical lanes — the shape a sweep's repeated cells
-    /// take (one uniformity class, so one simulation serves every lane;
-    /// see DESIGN.md §10) — and returns the per-lane cycle count after
-    /// asserting every lane verified and agreed.
+    /// with `lanes` identical lanes — one uniformity class, so one
+    /// simulation serves every lane (DESIGN.md §10) — and returns the
+    /// per-lane cycle count after asserting every lane verified and
+    /// agreed.
     ///
     /// # Panics
     ///
@@ -164,40 +164,6 @@ impl PreparedCase {
             assert_eq!(*cycles.get_or_insert(c), c, "identical lanes agree on cycles");
         }
         cycles.expect("at least one lane")
-    }
-
-    /// Runs the prepared case once through the lane-batched entry point
-    /// with `lanes` *distinct-seed* lanes — the genuinely divergent shape
-    /// that exercises the lockstep SoA engines rather than the
-    /// uniform-collapse fast path — and returns an order-sensitive fold
-    /// of the per-lane cycle counts (distinct seeds may legitimately
-    /// produce distinct cycle counts on cache-timing-sensitive cases, so
-    /// the fold, not a single count, is the determinism probe).
-    ///
-    /// # Panics
-    ///
-    /// Panics on simulation failure or any lane failing verification.
-    #[must_use]
-    pub fn run_lockstep_once(&mut self, lanes: usize) -> u64 {
-        let specs: Vec<BatchLane> = (0..lanes)
-            .map(|i| BatchLane {
-                records: self.records,
-                params: ExperimentParams {
-                    seed: self.params.seed.wrapping_add(1 + i as u64),
-                    ..self.params
-                },
-            })
-            .collect();
-        let results =
-            run_prepared_batch_in(self.kernel.as_ref(), &self.prepared, &specs, &mut self.scratch);
-        assert_eq!(results.len(), lanes);
-        let mut fold = 0u64;
-        for r in results {
-            let (stats, mismatch) = r.expect("hot-path lockstep case simulates");
-            assert_eq!(mismatch, None, "{} must verify in lockstep", self.kernel.name());
-            fold = fold.rotate_left(7) ^ stats.cycles();
-        }
-        fold
     }
 
     /// Workload-cache hits accumulated across this case's runs (every
@@ -242,8 +208,8 @@ pub struct HotpathMeasurement {
     /// before the batched repetitions (deterministic: equal to `iters`,
     /// since the warm-up generates and every timed run hits).
     pub workload_cache_hits: u64,
-    /// Lanes per batched dispatch (identical lanes — the
-    /// uniform-collapse path a sweep's repeated cells take).
+    /// Lanes per batched dispatch (identical lanes, which collapse to
+    /// one simulation).
     pub lanes: usize,
     /// Per-lane simulated cycles from the batched runs. CI asserts this
     /// equals `sim_cycles`: batching must not change machine behavior.
@@ -253,27 +219,10 @@ pub struct HotpathMeasurement {
     /// Verified lane-results per second through the batched entry point
     /// (`iters × lanes` lane-results over `batched_wall_ms`).
     pub batched_cells_per_sec: f64,
-    /// `batched_cells_per_sec / cells_per_sec` — the headline
-    /// lane-batching win on this case.
+    /// `batched_cells_per_sec / cells_per_sec` — what uniform-lane
+    /// collapse saves on this case: one simulation replicated to
+    /// `lanes` verified results, not a faster engine.
     pub batch_speedup: f64,
-    /// Order-sensitive fold of per-lane simulated cycles from the
-    /// *distinct-seed* lockstep runs (`rotate_left(7) ^ cycles` per lane
-    /// in lane order). A determinism cross-check for the SIMD lockstep
-    /// path: moves only when machine behavior changes.
-    pub lockstep_sim_cycles: u64,
-    /// Total wall-clock for the lockstep repetitions, milliseconds.
-    pub lockstep_wall_ms: f64,
-    /// Verified lane-results per second through the lockstep SoA path
-    /// (`iters × lanes` distinct-seed lane-results over
-    /// `lockstep_wall_ms`) — the SIMD-path throughput column.
-    pub lockstep_cells_per_sec: f64,
-    /// `lockstep_cells_per_sec / cells_per_sec` — the lockstep win over
-    /// scalar on genuinely divergent lanes.
-    pub lockstep_speedup: f64,
-    /// Lane-slot occupancy of each lockstep dispatch:
-    /// `lanes / MAX_CLASSES` — the fraction of the 64 mask-word slots a
-    /// dispatch fills at this `--lanes` setting.
-    pub lockstep_occupancy: f64,
     /// The case's lowering fingerprint (hex), as the result store would
     /// key it ([`dlp_core::store::lowering_fingerprint`]). Deterministic;
     /// when `cells_per_sec` moves between commits, an unchanged
@@ -336,20 +285,8 @@ pub fn measure(case: &HotpathCase, records: usize, iters: usize, lanes: usize) -
         }
     });
 
-    let lockstep_sim_cycles = prepared.run_lockstep_once(lanes); // warm
-    let lockstep_wall = best_window(|| {
-        for _ in 0..iters {
-            assert_eq!(
-                prepared.run_lockstep_once(lanes),
-                lockstep_sim_cycles,
-                "lockstep runs are deterministic"
-            );
-        }
-    });
-
     let cells_per_sec = iters as f64 / wall.max(1e-9);
     let batched_cells_per_sec = (iters * lanes) as f64 / batched_wall.max(1e-9);
-    let lockstep_cells_per_sec = (iters * lanes) as f64 / lockstep_wall.max(1e-9);
     HotpathMeasurement {
         kernel: case.kernel.to_string(),
         config: case.config.to_string(),
@@ -366,11 +303,6 @@ pub fn measure(case: &HotpathCase, records: usize, iters: usize, lanes: usize) -
         batched_wall_ms: batched_wall * 1e3,
         batched_cells_per_sec,
         batch_speedup: batched_cells_per_sec / cells_per_sec.max(1e-9),
-        lockstep_sim_cycles,
-        lockstep_wall_ms: lockstep_wall * 1e3,
-        lockstep_cells_per_sec,
-        lockstep_speedup: lockstep_cells_per_sec / cells_per_sec.max(1e-9),
-        lockstep_occupancy: lanes as f64 / trips_sim::batch::MAX_CLASSES as f64,
         lowering_fp: prepared.lowering_fp().to_string(),
     }
 }
@@ -483,10 +415,8 @@ pub struct HotpathReport {
     /// `workload_cache_hits`; 3 added the per-case `lowering_fp`;
     /// 4 added the lane-batched columns (`lanes`, `batched_sim_cycles`,
     /// `batched_wall_ms`, `batched_cells_per_sec`, `batch_speedup`);
-    /// 5 the distinct-seed lockstep (SIMD-path) columns
-    /// (`lockstep_sim_cycles`, `lockstep_wall_ms`,
-    /// `lockstep_cells_per_sec`, `lockstep_speedup`,
-    /// `lockstep_occupancy`). See `EXPERIMENTS.md`.
+    /// 5 the distinct-seed lockstep columns; 6 removed them again with
+    /// the lockstep engine. See `EXPERIMENTS.md`.
     pub schema: u32,
     /// Whether the fast (CI smoke) scale was used.
     pub fast: bool,
@@ -497,7 +427,7 @@ pub struct HotpathReport {
 }
 
 /// Current [`HotpathReport::schema`] version.
-pub const HOTPATH_SCHEMA: u32 = 5;
+pub const HOTPATH_SCHEMA: u32 = 6;
 
 #[cfg(test)]
 mod tests {
@@ -522,15 +452,6 @@ mod tests {
             let mut prepared = prepare_case(case, 8);
             let scalar = prepared.run_once();
             assert_eq!(prepared.run_batched_once(4), scalar, "{} batched cycles", case.kernel);
-        }
-    }
-
-    #[test]
-    fn lockstep_fold_is_deterministic_on_both_engine_families() {
-        for case in [&HOTPATH_CASES[0], &HOTPATH_CASES[3]] {
-            let mut prepared = prepare_case(case, 8);
-            let first = prepared.run_lockstep_once(4);
-            assert_eq!(first, prepared.run_lockstep_once(4), "{} lockstep fold", case.kernel);
         }
     }
 

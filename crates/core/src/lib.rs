@@ -20,7 +20,7 @@
 //!   specialized-hardware numbers (MPC7447, Imagine, Tarantula,
 //!   CryptoManiac, QuadroFX).
 //! * [`sweep`] — the parallel experiment engine: the kernel ×
-//!   configuration grid run by work-stealing workers with schedule
+//!   configuration grid run by a pool of worker threads with schedule
 //!   caching and deterministic seeding, emitting the [`sweep::SweepReport`]
 //!   artifact every figure/table binary aggregates from.
 //! * [`store`] — the persistence layer that turns the sweep into a
@@ -69,9 +69,9 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use flexible::{flexible, Figure5, Figure5Row, FlexibleSummary};
 pub use recommend::{recommend, Recommendation};
 pub use runner::{
-    batchable, default_records, natural_unroll, prepare_kernel, run_kernel, run_kernel_mech,
-    run_prepared, run_prepared_batch_in, run_prepared_in, BatchLane, ExperimentParams,
-    LaneResult, PreparedProgram, RunOutcome, RunScratch, WorkloadCache,
+    default_records, natural_unroll, prepare_kernel, run_kernel, run_kernel_mech, run_prepared,
+    run_prepared_batch_in, run_prepared_in, BatchLane, ExperimentParams, LaneResult,
+    PreparedProgram, RunOutcome, RunScratch, WorkloadCache,
 };
 pub use store::{
     DeadLetterQueue, Digest, DlqRecord, ManifestWriter, ResultStore, StoreKey, SweepManifest,

@@ -527,8 +527,8 @@ fn verify_lane(
 /// stage, simulate, and hand back the statistics together with the
 /// machine (whose memory holds the outputs) and the workload (whose
 /// `expected` holds the reference), so callers can verify any record
-/// prefix of the same simulation — the batch path verifies each lane's
-/// own prefix against one shared class run.
+/// prefix of the same simulation — [`run_prepared_batch_in`] verifies
+/// each lane's own prefix against one shared class run.
 fn run_prepared_parts(
     kernel: &dyn DlpKernel,
     prepared: &PreparedProgram,
@@ -596,35 +596,14 @@ fn run_prepared_parts(
 }
 
 /// One lane of a batched dispatch: the record count and experiment
-/// parameters of one scalar run of a shared [`PreparedProgram`]. In the
-/// sweep engine a lane is one cell attempt (same lowering, possibly a
-/// different fault salt); in the hot-path harness it is one repetition
-/// of a case.
+/// parameters of one scalar run of a shared [`PreparedProgram`] (in the
+/// hot-path harness, one repetition of a case).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchLane {
     /// Records to process (excluding unroll padding).
     pub records: usize,
-    /// Per-lane experiment parameters. Grid, timing, and watchdog must
-    /// be uniform across a batch ([`batchable`]); seed and fault plan
-    /// may vary per lane.
+    /// Per-lane experiment parameters.
     pub params: ExperimentParams,
-}
-
-/// Whether `lanes` may be dispatched through
-/// [`run_prepared_batch_in`]'s lockstep path: non-empty, with uniform
-/// grid shape, timing model, and watchdog. Seeds, fault plans, *and
-/// record counts* may differ freely — they become lane *classes* inside
-/// the batch, and a class whose record tail is exhausted masks off
-/// while the rest keep running (mask-padded tails, DESIGN.md §12).
-#[must_use]
-pub fn batchable(lanes: &[BatchLane]) -> bool {
-    let Some(first) = lanes.first() else { return false };
-    lanes.len() <= trips_sim::batch::MAX_CLASSES
-        && lanes.iter().all(|l| {
-            l.params.grid == first.params.grid
-                && l.params.timing == first.params.timing
-                && l.params.watchdog == first.params.watchdog
-        })
 }
 
 /// Whether two lanes are *uniform*: they would run the exact same
@@ -647,29 +626,18 @@ fn same_class(prepared: &PreparedProgram, a: &BatchLane, b: &BatchLane) -> bool 
 }
 
 /// As [`run_prepared_in`], for a whole batch of lanes at once: dedupe
-/// the lanes into uniformity classes, execute all classes in lockstep
-/// through one shared event queue
-/// ([`trips_sim::batch::run_dataflow_batch_in`] /
-/// [`trips_sim::batch::run_mimd_batch_in`]), and verify each class's
-/// outputs against its own workload. Per-lane results are bit-identical
-/// to calling [`run_prepared_in`] on each lane alone — the whole point;
-/// see DESIGN.md §10 — so the returned vector (same order as `lanes`)
-/// can be consumed exactly as N scalar results.
-///
-/// Fast paths: a fully uniform batch (one class — the common case when
-/// repeating a measurement or retrying without faults) runs the scalar
-/// engine once and replicates its result; a batch that is not
-/// [`batchable`] falls back to per-class scalar runs. Any error while
-/// staging a class's machine also falls back to the all-scalar path,
-/// which is trivially identical.
+/// the lanes into uniformity classes, simulate each class once, and
+/// verify every lane's own record prefix against its class's outputs.
+/// Per-lane results are bit-identical to calling [`run_prepared_in`] on
+/// each lane alone, so the returned vector (same order as `lanes`) can
+/// be consumed exactly as N scalar results.
 pub fn run_prepared_batch_in(
     kernel: &dyn DlpKernel,
     prepared: &PreparedProgram,
     lanes: &[BatchLane],
     scratch: &mut RunScratch,
 ) -> Vec<LaneResult> {
-    // Dedupe lanes into uniformity classes (reps = lane index of each
-    // class representative).
+    // Representatives hold the lane index of each class's first lane.
     let mut reps: Vec<usize> = Vec::new();
     let mut class_of: Vec<usize> = Vec::with_capacity(lanes.len());
     for (i, lane) in lanes.iter().enumerate() {
@@ -681,33 +649,6 @@ pub fn run_prepared_batch_in(
             }
         }
     }
-
-    // One class, an unbatchable mix, or more classes than mask bits:
-    // run each class through the scalar reference path.
-    if reps.len() <= 1 || !batchable(lanes) {
-        return run_classes_scalar(kernel, prepared, lanes, &reps, &class_of, scratch);
-    }
-
-    match run_classes_lockstep(kernel, prepared, lanes, &reps, &class_of, scratch) {
-        Some(per_lane) => per_lane,
-        // A class failed setup (staging DMA, L0 capacity): take the
-        // scalar path for every class so error attribution matches
-        // the scalar contract exactly.
-        None => run_classes_scalar(kernel, prepared, lanes, &reps, &class_of, scratch),
-    }
-}
-
-/// The scalar reference path of [`run_prepared_batch_in`]: one
-/// [`run_prepared_parts`] run per class, then every lane verifies its
-/// own record prefix against its class's outputs.
-fn run_classes_scalar(
-    kernel: &dyn DlpKernel,
-    prepared: &PreparedProgram,
-    lanes: &[BatchLane],
-    reps: &[usize],
-    class_of: &[usize],
-    scratch: &mut RunScratch,
-) -> Vec<LaneResult> {
     let per_class: Vec<_> = reps
         .iter()
         .map(|&r| run_prepared_parts(kernel, prepared, lanes[r].records, &lanes[r].params, scratch))
@@ -715,118 +656,13 @@ fn run_classes_scalar(
     lanes
         .iter()
         .zip(class_of)
-        .map(|(lane, &c)| match &per_class[c] {
+        .map(|(lane, c)| match &per_class[c] {
             Ok((stats, machine, workload, out_words)) => {
                 Ok((*stats, verify_lane(kernel, machine, workload, lane.records, *out_words)))
             }
             Err(e) => Err(e.clone()),
         })
         .collect()
-}
-
-/// The lockstep core of [`run_prepared_batch_in`]: one machine per
-/// class, staged exactly as [`run_prepared_in`] stages its single
-/// machine, then one batched engine dispatch with per-class record
-/// counts (classes with shorter tails mask off as they finish). Every
-/// lane then verifies its own record prefix against its class's
-/// outputs. Returns `None` if any class's setup errors (the caller
-/// falls back to scalar).
-fn run_classes_lockstep(
-    kernel: &dyn DlpKernel,
-    prepared: &PreparedProgram,
-    lanes: &[BatchLane],
-    reps: &[usize],
-    class_of: &[usize],
-    scratch: &mut RunScratch,
-) -> Option<Vec<LaneResult>> {
-    let ir = kernel.ir();
-    let in_words = ir.record_in_words() as usize;
-    let out_words = ir.record_out_words() as usize;
-
-    // Per-class machine + workload setup, mirroring `run_prepared_in`
-    // statement for statement (each class stages its own padded count).
-    let mut machines: Vec<Machine> = Vec::with_capacity(reps.len());
-    let mut workloads: Vec<Arc<Workload>> = Vec::with_capacity(reps.len());
-    for &r in reps {
-        let params = &lanes[r].params;
-        let padded_records = sim_records(prepared, lanes[r].records);
-        let mut machine = Machine::new(params.grid, params.timing, prepared.mech);
-        if let Some(ticks) = params.watchdog {
-            machine.set_watchdog(ticks);
-        }
-        if !params.fault.is_none() {
-            machine.install_fault_plan(params.fault, params.seed);
-        }
-        let workload = match &scratch.workloads {
-            Some(cache) => cache.get(kernel, padded_records, params.seed),
-            None => Arc::new(kernel.workload(padded_records, params.seed)),
-        };
-        stage(&mut machine, &workload, in_words).ok()?;
-        machines.push(machine);
-        workloads.push(workload);
-    }
-
-    let results = match &prepared.variant {
-        PreparedVariant::Mimd { progs, table } => {
-            if !table.is_empty() {
-                for machine in &mut machines {
-                    if prepared.mech.l0_data_store {
-                        machine.load_l0_table(table).ok()?;
-                    } else {
-                        machine.memory_mut().write_words(memmap::TABLE_BASE, table);
-                    }
-                }
-            }
-            let records: Vec<u64> = reps.iter().map(|&r| lanes[r].records as u64).collect();
-            trips_sim::batch::run_mimd_batch_in(&mut machines, progs, &records, &mut scratch.arena)
-        }
-        PreparedVariant::Dataflow(sched) => {
-            for machine in &mut machines {
-                if !sched.table_image.is_empty() {
-                    if sched.tables_in_l0 {
-                        machine.load_l0_table(&sched.table_image).ok()?;
-                    } else {
-                        machine.memory_mut().write_words(memmap::TABLE_BASE, &sched.table_image);
-                    }
-                }
-                for (reg, v) in &sched.const_regs {
-                    machine.set_reg(*reg, *v);
-                }
-            }
-            let iterations: Vec<u64> = reps
-                .iter()
-                .map(|&r| (sim_records(prepared, lanes[r].records) / sched.unroll) as u64)
-                .collect();
-            let params = &lanes[reps[0]].params;
-            scratch.arena.mark_dataflow_block_validated(
-                &sched.block,
-                params.grid,
-                params.timing.core.rs_slots_per_node,
-            );
-            trips_sim::batch::run_dataflow_batch_in(
-                &mut machines,
-                &sched.block,
-                &iterations,
-                &mut scratch.arena,
-            )
-        }
-    };
-
-    // Per-lane verification against the lane's own record prefix of its
-    // class's reference output.
-    Some(
-        lanes
-            .iter()
-            .zip(class_of)
-            .map(|(lane, &c)| match &results[c] {
-                Ok(stats) => Ok((
-                    *stats,
-                    verify_lane(kernel, &machines[c], &workloads[c], lane.records, out_words),
-                )),
-                Err(e) => Err(e.clone()),
-            })
-            .collect(),
-    )
 }
 
 /// Write a workload into memory and stage the SMC window.

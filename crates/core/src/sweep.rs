@@ -4,10 +4,9 @@
 //! *kernel × machine configuration (× parameter knob)*. This module runs
 //! that grid as one batch instead of one nested loop per binary:
 //!
-//! * **Work stealing** — cells are pushed into a shared
-//!   [`crossbeam::deque::Injector`] and drained by scoped worker
-//!   threads, so a slow cell (dct on the baseline) never serializes the
-//!   rest of the sweep behind it.
+//! * **Parallel workers** — scoped worker threads claim work units
+//!   from one shared atomic cursor, so a slow cell (dct on the
+//!   baseline) never serializes the rest of the sweep behind it.
 //! * **Schedule caching** — lowering a kernel (placement, routing,
 //!   unrolling, or MIMD replication) depends only on the kernel, the
 //!   mechanism set, the grid/timing model, and the *unroll factor* the
@@ -81,18 +80,17 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Steal};
 use dlp_common::{harmonic_mean, DlpError, SimStats};
 use dlp_kernels::{suite, DlpKernel};
 use serde::{Deserialize, Serialize};
 use trips_sim::MechanismSet;
 
 use crate::runner::{
-    natural_unroll, prepare_kernel, run_prepared_batch_in, run_prepared_in, BatchLane,
-    PreparedProgram, RunScratch, WorkloadCache,
+    natural_unroll, prepare_kernel, run_prepared_in, PreparedProgram, RunScratch, WorkloadCache,
 };
 use crate::store::{
     self, cacheable, lowering_fingerprint, DeadLetterQueue, Digest, DlqRecord, ManifestEntry,
@@ -183,8 +181,9 @@ pub struct SweepPolicy {
     /// are skipped ([`CellOutcome::Skipped`]) instead of executed.
     /// Cells whose outcome is already known (store or resume hits) are
     /// served regardless and feed the failure counter; a success resets
-    /// it. `None` (the default) disables the breaker and keeps each
-    /// cell an independent work-stealing unit.
+    /// it. `None` (the default) disables the breaker, and cells are
+    /// dispatched in shared-lowering groups instead of per-configuration
+    /// chains.
     pub breaker_threshold: Option<u32>,
 }
 
@@ -225,19 +224,12 @@ impl Default for Sweep {
 }
 
 /// The worker count [`Sweep::new`] picks for a host with `cores` CPUs:
-/// one worker on a single-core host (spawning a second thread there only
-/// adds contention), otherwise `cores` clamped to 2..=8 — at least two so
-/// the work-stealing path is always exercised (results are
-/// thread-count-independent, so this is free), at most eight because the
-/// cells are simulation-bound and oversubscription only adds scheduling
-/// noise.
+/// one per core, at least one (a host reporting 0 cores still gets a
+/// worker) and at most eight, because the cells are simulation-bound and
+/// oversubscription only adds scheduling noise.
 #[must_use]
 pub fn default_worker_count(cores: usize) -> usize {
-    if cores <= 1 {
-        1
-    } else {
-        cores.clamp(2, 8)
-    }
+    cores.clamp(1, 8)
 }
 
 impl Sweep {
@@ -295,7 +287,7 @@ impl Sweep {
     }
 
     /// Enable or disable longest-predicted-first dispatch ordering
-    /// (on by default). When enabled, phase 2 sorts its work-stealing
+    /// (on by default). When enabled, phase 2 sorts its dispatch
     /// groups by descending static cycle bound (DESIGN.md §13) so the
     /// slowest lowerings start first and no worker idles behind one
     /// giant cell stranded at the tail of the queue. Disabling falls
@@ -655,21 +647,17 @@ impl Sweep {
         // engine arena makes repeat cells allocation-free, and the
         // (optional) workload cache is shared across all workers.
         //
-        // The work-stealing unit is a *group* of cells. Three shapes:
-        // one sequential chain per configuration when the circuit
-        // breaker is armed (so "consecutive failures" is well-defined
-        // regardless of worker interleaving); lane-*batched* groups of
-        // pending cells sharing one lowering and watchdog — record
-        // counts may differ, short lanes ride as mask-padded tails
-        // (DESIGN.md §12) — packed greedily into maximal-occupancy
-        // batches and dispatched in lockstep through the batched
-        // engine (DESIGN.md §10) with bit-identical per-cell results;
-        // and singleton chains for everything else. Batching is skipped
-        // under a breaker (its failure chains are sequential by
-        // definition) and under a soft timeout (a wall-clock budget is
-        // per-cell and cannot be attributed inside a shared dispatch).
+        // The dispatch unit is a *chain* of cells, run in order
+        // through the scalar path. Under an armed circuit breaker there
+        // is one chain per configuration (so "consecutive failures" is
+        // well-defined regardless of worker interleaving). Otherwise
+        // pending cells sharing one lowering and watchdog are packed
+        // greedily, in push order, into chains of up to `MAX_CLASSES`
+        // cells (DESIGN.md §10): one worker then runs a whole group
+        // against the plan it shares, back to back on one warm scratch.
+        // Resolved cells and leftover singletons are chains of one.
         let breaker = self.policy.breaker_threshold.filter(|&t| t > 0);
-        let groups: Vec<DispatchGroup> = match breaker {
+        let mut groups: Vec<Vec<usize>> = match breaker {
             Some(_) => {
                 let mut order: Vec<(String, Vec<usize>)> = Vec::new();
                 for (i, cell) in self.cells.iter().enumerate() {
@@ -679,14 +667,14 @@ impl Sweep {
                         None => order.push((config, vec![i])),
                     }
                 }
-                order.into_iter().map(|(_, members)| DispatchGroup::Chain(members)).collect()
+                order.into_iter().map(|(_, members)| members).collect()
             }
-            None if self.policy.soft_timeout_ms.is_none() => {
-                let mut groups: Vec<DispatchGroup> = Vec::new();
-                let mut pending: Vec<(BatchKey, Vec<usize>)> = Vec::new();
+            None => {
+                let mut groups: Vec<Vec<usize>> = Vec::new();
+                let mut pending: Vec<(GroupKey, Vec<usize>)> = Vec::new();
                 for i in 0..self.cells.len() {
                     if resolved[i].is_some() {
-                        groups.push(DispatchGroup::Chain(vec![i]));
+                        groups.push(vec![i]);
                         continue;
                     }
                     let key = (cell_plan[i], self.cells[i].params.watchdog);
@@ -695,35 +683,23 @@ impl Sweep {
                         None => pending.push((key, vec![i])),
                     }
                 }
-                // Greedy packer: each key's members (push order) fill
-                // batches to the lane-word limit before opening the
-                // next — the maximal-occupancy packing, since lanes
-                // can never cross lowerings. A leftover singleton runs
-                // as a scalar chain.
                 for (_, members) in pending {
-                    for chunk in members.chunks(trips_sim::batch::MAX_CLASSES) {
-                        if chunk.len() >= 2 {
-                            groups.push(DispatchGroup::Batch(chunk.to_vec()));
-                        } else {
-                            groups.push(DispatchGroup::Chain(chunk.to_vec()));
-                        }
-                    }
+                    groups.extend(
+                        members.chunks(trips_sim::batch::MAX_CLASSES).map(<[usize]>::to_vec),
+                    );
                 }
                 groups
             }
-            None => (0..self.cells.len()).map(|i| DispatchGroup::Chain(vec![i])).collect(),
         };
-        // Static dispatch accounting: a pure function of the grid, the
-        // policy, and the resolve phase — never of worker interleaving.
-        let cells_batched = groups
-            .iter()
-            .map(|g| match g {
-                DispatchGroup::Batch(members) => members.len(),
-                DispatchGroup::Chain(_) => 0,
-            })
-            .sum();
-        let batch_dispatches =
-            groups.iter().filter(|g| matches!(g, DispatchGroup::Batch(_))).count();
+        // Static dispatch accounting over the shared-lowering groups of
+        // two or more cells: a pure function of the grid, the policy,
+        // and the resolve phase — never of worker interleaving.
+        let shared: Vec<usize> = match breaker {
+            Some(_) => Vec::new(),
+            None => groups.iter().map(Vec::len).filter(|&n| n >= 2).collect(),
+        };
+        let cells_batched: usize = shared.iter().sum();
+        let batch_dispatches = shared.len();
         let batch_occupancy = if batch_dispatches == 0 {
             0.0
         } else {
@@ -731,17 +707,18 @@ impl Sweep {
                 / (batch_dispatches * trips_sim::batch::MAX_CLASSES) as f64
         };
         // ---- Longest-predicted-first (LPT) dispatch order. Weight
-        // each group by the largest static cycle estimate among its
-        // pending members (the analyzer's sound bound extrapolated
-        // per record — DESIGN.md §13) and hand the heaviest groups to
-        // the work-stealing drain first, so a giant cell can't start
+        // each group by the summed static cycle estimates of its
+        // pending members (a group runs them back to back; each
+        // estimate is the analyzer's sound bound extrapolated per
+        // record — DESIGN.md §13) and hand the heaviest groups to
+        // the worker pool first, so a giant group can't start
         // last and strand one worker past the others' finish line.
         // Already-resolved cells and failed lowerings weigh nothing.
         // The sort is stable (ties keep push order) and per-cell
         // results are keyed by index, so the report and every
         // determinism contract over it are order-invariant; only
         // wall-clock moves.
-        let groups: Vec<DispatchGroup> = if self.lpt_schedule {
+        if self.lpt_schedule {
             let weight = |members: &[usize]| -> u64 {
                 members
                     .iter()
@@ -749,23 +726,10 @@ impl Sweep {
                         (None, Some(Ok(p))) => p.estimate_ticks(self.cells[i].records),
                         _ => 0,
                     })
-                    .max()
-                    .unwrap_or(0)
+                    .sum()
             };
-            let mut keyed: Vec<(u64, DispatchGroup)> = groups
-                .into_iter()
-                .map(|g| {
-                    let w = match &g {
-                        DispatchGroup::Batch(m) | DispatchGroup::Chain(m) => weight(m),
-                    };
-                    (w, g)
-                })
-                .collect();
-            keyed.sort_by_key(|&(w, _)| std::cmp::Reverse(w));
-            keyed.into_iter().map(|(_, g)| g).collect()
-        } else {
-            groups
-        };
+            groups.sort_by_cached_key(|g| std::cmp::Reverse(weight(g)));
+        }
         let workload_cache =
             if self.workload_cache { Some(Arc::new(WorkloadCache::new())) } else { None };
         let group_results: Vec<Vec<(usize, Resolved)>> = self.parallel_map_with(
@@ -774,54 +738,41 @@ impl Sweep {
                 Some(cache) => RunScratch::with_workload_cache(Arc::clone(cache)),
                 None => RunScratch::new(),
             },
-            |scratch, g| match &groups[g] {
-                DispatchGroup::Batch(members) => {
-                    let results = self.execute_batch(scratch, members, &plans, &cell_plan);
-                    members
-                        .iter()
-                        .zip(results)
-                        .map(|(&i, (outcome, wall_ms, attempts))| {
-                            self.record_completion(i, &outcome, wall_ms, attempts, &keys);
-                            (i, Resolved { outcome, wall_ms, attempts, origin: Origin::Executed })
-                        })
-                        .collect()
-                }
-                DispatchGroup::Chain(members) => {
-                    let mut out = Vec::with_capacity(members.len());
-                    let mut consecutive = 0u32;
-                    let mut open = false;
-                    for &i in members {
-                        let result = if let Some(known) = resolved[i].clone() {
-                            // A known outcome is always served — the
-                            // breaker only guards *unknown* work.
-                            known
-                        } else if open {
-                            let outcome = CellOutcome::Skipped {
-                                reason: format!(
-                                    "circuit breaker open for {}: {consecutive} consecutive failures",
-                                    self.cells[i].config_name()
-                                ),
-                                failures: consecutive,
-                            };
-                            Resolved { outcome, wall_ms: 0.0, attempts: 0, origin: Origin::Skipped }
-                        } else {
-                            let (outcome, wall_ms, attempts) =
-                                self.execute_cell(scratch, i, &plans, &cell_plan);
-                            self.record_completion(i, &outcome, wall_ms, attempts, &keys);
-                            Resolved { outcome, wall_ms, attempts, origin: Origin::Executed }
+            |scratch, g| {
+                let mut out = Vec::with_capacity(groups[g].len());
+                let mut consecutive = 0u32;
+                let mut open = false;
+                for &i in &groups[g] {
+                    let result = if let Some(known) = resolved[i].clone() {
+                        // A known outcome is always served — the
+                        // breaker only guards *unknown* work.
+                        known
+                    } else if open {
+                        let outcome = CellOutcome::Skipped {
+                            reason: format!(
+                                "circuit breaker open for {}: {consecutive} consecutive failures",
+                                self.cells[i].config_name()
+                            ),
+                            failures: consecutive,
                         };
-                        if matches!(result.outcome, CellOutcome::Failed { .. }) {
-                            consecutive += 1;
-                        } else if matches!(result.outcome, CellOutcome::Ran { .. }) {
-                            consecutive = 0;
-                        }
-                        if breaker.is_some_and(|t| consecutive >= t) {
-                            open = true;
-                        }
-                        out.push((i, result));
+                        Resolved { outcome, wall_ms: 0.0, attempts: 0, origin: Origin::Skipped }
+                    } else {
+                        let (outcome, wall_ms, attempts) =
+                            self.execute_cell(scratch, i, &plans, &cell_plan);
+                        self.record_completion(i, &outcome, wall_ms, attempts, &keys);
+                        Resolved { outcome, wall_ms, attempts, origin: Origin::Executed }
+                    };
+                    if matches!(result.outcome, CellOutcome::Failed { .. }) {
+                        consecutive += 1;
+                    } else if matches!(result.outcome, CellOutcome::Ran { .. }) {
+                        consecutive = 0;
                     }
-                    out
+                    if breaker.is_some_and(|t| consecutive >= t) {
+                        open = true;
+                    }
+                    out.push((i, result));
                 }
+                out
             },
         );
         let mut cell_results: Vec<Option<Resolved>> = vec![None; self.cells.len()];
@@ -923,110 +874,8 @@ impl Sweep {
         }
     }
 
-    /// Runs one lane-batched group: attempt 1 of every cell in lockstep
-    /// through [`run_prepared_batch_in`], then scalar retries (attempts
-    /// 2..) for any lane whose first attempt failed. Per-cell outcomes
-    /// are bit-identical to [`Sweep::execute_cell`]: batched attempt 1
-    /// is bit-identical to scalar attempt 1 (the `batched_identity`
-    /// tier-1 contract), and the retry chain re-enters the scalar path
-    /// with the same salt sequence.
-    fn execute_batch(
-        &self,
-        scratch: &mut RunScratch,
-        members: &[usize],
-        plans: &[Option<Result<PreparedProgram, DlpError>>],
-        cell_plan: &[usize],
-    ) -> Vec<(CellOutcome, f64, u32)> {
-        let started = Instant::now();
-        let max_attempts = self.policy.max_attempts.max(1);
-        let prepared = match &plans[cell_plan[members[0]]] {
-            Some(Ok(prepared)) => prepared,
-            // Lowering failed (or, unreachably, was never prepared):
-            // the scalar path renders the exact per-cell diagnostics.
-            _ => {
-                return members
-                    .iter()
-                    .map(|&i| self.execute_cell(scratch, i, plans, cell_plan))
-                    .collect();
-            }
-        };
-        // All members share one plan key, hence one kernel.
-        let kernel = self.kernels[self.cells[members[0]].kernel].as_ref();
-        let lanes: Vec<BatchLane> = members
-            .iter()
-            .map(|&i| {
-                let cell = &self.cells[i];
-                BatchLane {
-                    records: cell.records,
-                    params: ExperimentParams {
-                        seed: derive_seed(cell.params.seed, kernel.name()),
-                        ..cell.params
-                    },
-                }
-            })
-            .collect();
-        let Ok(first_attempts) =
-            catch_cell(|| Ok(run_prepared_batch_in(kernel, prepared, &lanes, scratch)))
-        else {
-            // A panic in the batched engine degrades exactly like a
-            // scalar panic: each cell retries through the scalar path.
-            return members
-                .iter()
-                .map(|&i| self.execute_cell(scratch, i, plans, cell_plan))
-                .collect();
-        };
-        let batch_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        members
-            .iter()
-            .zip(first_attempts)
-            .map(|(&i, first)| {
-                let mut err = match first {
-                    Ok((stats, mismatch)) => {
-                        return (CellOutcome::Ran { stats, mismatch }, batch_ms, 1);
-                    }
-                    Err(e) => e,
-                };
-                // Scalar retries, continuing the salt sequence where
-                // the (batched) first attempt left off.
-                let cell = &self.cells[i];
-                let retries_started = Instant::now();
-                let mut attempt = 1u32;
-                while attempt < max_attempts {
-                    attempt += 1;
-                    let fault = cell
-                        .params
-                        .fault
-                        .with_salt(cell.params.fault.salt.wrapping_add(u64::from(attempt - 1)));
-                    let params = ExperimentParams {
-                        seed: derive_seed(cell.params.seed, kernel.name()),
-                        fault,
-                        ..cell.params
-                    };
-                    match catch_cell(|| {
-                        run_prepared_in(kernel, prepared, cell.records, &params, scratch)
-                    }) {
-                        Ok((stats, mismatch)) => {
-                            let wall = batch_ms + retries_started.elapsed().as_secs_f64() * 1e3;
-                            return (CellOutcome::Ran { stats, mismatch }, wall, attempt);
-                        }
-                        Err(e) => err = e,
-                    }
-                }
-                let outcome = CellOutcome::Failed {
-                    error: err.to_string(),
-                    kind: err.kind().to_string(),
-                    attempts: attempt,
-                    timed_out: false,
-                };
-                let wall = batch_ms + retries_started.elapsed().as_secs_f64() * 1e3;
-                (outcome, wall, attempt)
-            })
-            .collect()
-    }
-
     /// Streams one completed cell into the attached store, manifest,
-    /// and dead-letter queue (shared by the scalar and batched paths).
+    /// and dead-letter queue.
     fn record_completion(
         &self,
         i: usize,
@@ -1223,7 +1072,7 @@ impl Sweep {
         caps
     }
 
-    /// Maps `f` over `0..n` with the work-stealing pool, preserving
+    /// Maps `f` over `0..n` with the worker pool, preserving
     /// index order in the result.
     fn parallel_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
@@ -1235,10 +1084,13 @@ impl Sweep {
 
     /// As [`Sweep::parallel_map`], but each worker thread first builds a
     /// private context with `init` and threads it (`&mut`) through every
-    /// index it steals — how phase 2 gives each worker a reusable
+    /// index it claims — how phase 2 gives each worker a reusable
     /// [`RunScratch`] without any cross-thread sharing of mutable state.
+    /// Workers claim indices in order from one shared cursor; results
+    /// land in per-index slots, so the output order never depends on
+    /// which worker ran what.
     //
-    // The two `expect`s below guard pool invariants, not cell work: cell
+    // The `expect` below guards a pool invariant, not cell work: cell
     // panics are already converted to `DlpError` by `catch_cell` inside
     // `f`, so a violation here means the harness itself is broken and
     // there is no per-cell result to degrade to.
@@ -1249,60 +1101,39 @@ impl Sweep {
         I: Fn() -> C + Sync,
         F: Fn(&mut C, usize) -> T + Sync,
     {
-        let injector: Injector<usize> = Injector::new();
-        for i in 0..n {
-            injector.push(i);
-        }
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let workers = self.threads.min(n.max(1));
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut ctx = init();
                     loop {
-                        match injector.steal() {
-                            Steal::Success(i) => {
-                                let out = f(&mut ctx, i);
-                                *slots[i]
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => {}
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
+                        let out = f(&mut ctx, i);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                     }
                 });
             }
-        })
-        .expect("sweep workers join");
+        });
         slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every queued index was processed")
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every index was claimed by a worker")
             })
             .collect()
     }
 }
 
-/// One phase-2 work-stealing unit.
-enum DispatchGroup {
-    /// Cells processed sequentially in push order by the scalar path
-    /// (per-configuration chains under a breaker, singletons otherwise).
-    Chain(Vec<usize>),
-    /// Pending cells sharing one lowering and watchdog, dispatched in
-    /// lockstep through the lane-batched engine.
-    Batch(Vec<usize>),
-}
-
-/// Batch-eligibility key: plan index (which already pins kernel,
-/// mechanisms, grid, and timing) and watchdog — exactly the uniformity
-/// [`crate::runner::batchable`] requires. Seeds, fault plans, *and
-/// record counts* vary freely inside a batch (seeds and faults become
-/// lane classes; short lanes ride along as mask-padded tails,
-/// DESIGN.md §12).
-type BatchKey = (usize, Option<dlp_common::Tick>);
+/// Shared-lowering group key: plan index (which already pins kernel,
+/// mechanisms, grid, and timing) and watchdog. Seeds, fault plans, and
+/// record counts vary freely inside a group.
+type GroupKey = (usize, Option<dlp_common::Tick>);
 
 /// How one cell's outcome was obtained by [`Sweep::run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1542,20 +1373,21 @@ pub struct SweepReport {
     pub resumed_cells: usize,
     /// Records appended to the dead-letter queue by this run.
     pub dlq_appended: u64,
-    /// Pending cells dispatched through the lane-batched engine
-    /// (DESIGN.md §10) rather than one-at-a-time. A pure function of
-    /// the grid, the policy, and the resolve phase — never of worker
-    /// count — and observationally inert: batched cells report
-    /// bit-identical outcomes. 0 under a breaker or soft timeout
-    /// (which force the scalar path) and on fully-resolved warm runs.
+    /// Pending cells dispatched in shared-lowering groups of two or
+    /// more (DESIGN.md §10): cells one worker runs back to back against
+    /// the plan they share. A pure function of the grid, the policy,
+    /// and the resolve phase — never of worker count — and
+    /// observationally inert: grouping only changes which worker runs a
+    /// cell. 0 under a breaker (which dispatches per-configuration
+    /// chains instead) and on fully-resolved warm runs.
     pub cells_batched: usize,
-    /// Lockstep dispatches those batched cells were grouped into.
+    /// Shared-lowering groups those cells were packed into.
     pub batch_dispatches: usize,
-    /// Mean lane occupancy of those dispatches: `cells_batched /
+    /// Mean occupancy of those groups: `cells_batched /
     /// (batch_dispatches * MAX_CLASSES)`, in `(0, 1]` — how full the
-    /// 64-lane words the greedy packer built were. 0.0 when nothing
-    /// batched. Like the dispatch counters it is a pure function of
-    /// the grid, the policy, and the resolve phase.
+    /// greedy packer filled its `MAX_CLASSES`-cell groups. 0.0 when no
+    /// group formed. Like the dispatch counters it is a pure function
+    /// of the grid, the policy, and the resolve phase.
     pub batch_occupancy: f64,
     /// Total analyzer warnings (`W*` codes, DESIGN.md §13) across the
     /// lowerings prepared during this run. Provenance, like the cache
@@ -1801,13 +1633,10 @@ mod tests {
     }
 
     #[test]
-    fn record_varying_cells_pack_into_one_lockstep_dispatch() {
-        // Cross-record batch packing (DESIGN.md §12): cells differing
-        // only in record count share a lowering (the unroll-cap
-        // coarsening) and now also a lockstep dispatch — the shorter
-        // lanes ride along as mask-padded tails. Before the packer
-        // dropped record counts from the batch key these cells never
-        // batched at all (`cells_batched` would be 0 here).
+    fn record_varying_cells_pack_into_one_dispatch_group() {
+        // Cells differing only in record count share a lowering (the
+        // unroll-cap coarsening) and therefore one dispatch group: the
+        // group key is the plan, not the record count (DESIGN.md §10).
         let params = ExperimentParams::default();
         let mut sweep = Sweep::with_threads(2);
         let id = sweep.add_kernel_by_name("convert").expect("suite kernel");
@@ -1827,7 +1656,7 @@ mod tests {
         report.ensure_verified().expect("verifies");
         for (cell, records) in report.cells.iter().zip([512, 768, 1024]) {
             let fresh = uncached("convert", MachineConfig::SO, records);
-            assert_eq!(cell.outcome.stats(), Some(&fresh), "batched == scalar at {records}");
+            assert_eq!(cell.outcome.stats(), Some(&fresh), "grouped == ungrouped at {records}");
         }
     }
 
@@ -1890,11 +1719,10 @@ mod tests {
         assert!(cached.workload_cache_hits >= 1, "repeated config shares its workload");
         assert_eq!(
             cached.workload_cache_hits + cached.workload_cache_misses,
-            2,
-            "baseline looked up once; the two identical S cells collapse \
-             to one lane class and share a single lookup"
+            3,
+            "one lookup per executed cell"
         );
-        assert_eq!(cached.cells_batched, 2, "the repeated S cells batch together");
+        assert_eq!(cached.cells_batched, 2, "the repeated S cells share one group");
         assert_eq!(cached.batch_dispatches, 1);
         assert_eq!(plain.workload_cache_hits, 0);
         assert_eq!(plain.workload_cache_misses, 0);

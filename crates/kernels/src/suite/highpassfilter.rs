@@ -61,14 +61,18 @@ impl DlpKernel for HighPassFilter {
                 }
             },
             |asm| {
-                asm.ld(MemSpace::Smc, 1, R_IN_ADDR, 0);
-                asm.alu(Opcode::FMul, 2, 1, 17);
-                for i in 1..9u8 {
-                    asm.ld(MemSpace::Smc, 1, R_IN_ADDR, i64::from(i));
-                    asm.alu(Opcode::FMul, 3, 1, 17 + i);
-                    asm.alu(Opcode::FAdd, 2, 2, 3);
+                // Term i lands in r(1+i); the sum then follows the
+                // reference's tree order, so outputs are bit-exact (a
+                // serial sum drifts past the f32 tolerance near zero).
+                for i in 0..9u8 {
+                    asm.ld(MemSpace::Smc, 1 + i, R_IN_ADDR, i64::from(i));
+                    asm.alu(Opcode::FMul, 1 + i, 1 + i, 17 + i);
                 }
-                asm.st(MemSpace::Smc, R_OUT_ADDR, 0, 2);
+                let tree = [(1, 2), (3, 4), (5, 6), (7, 8), (1, 3), (5, 7), (1, 5), (1, 9)];
+                for (a, b) in tree {
+                    asm.alu(Opcode::FAdd, a, a, b);
+                }
+                asm.st(MemSpace::Smc, R_OUT_ADDR, 0, 1);
             },
         )
     }

@@ -19,8 +19,6 @@
 pub struct EngineArena {
     pub(crate) dataflow: crate::dataflow::DataflowScratch,
     pub(crate) mimd: crate::mimd::MimdScratch,
-    pub(crate) batch_dataflow: crate::batch::BatchDataflowScratch,
-    pub(crate) batch_mimd: crate::batch::BatchMimdScratch,
 }
 
 impl EngineArena {
@@ -52,6 +50,5 @@ impl EngineArena {
     ) {
         let fp = (std::ptr::from_ref(block) as usize, block.len(), grid, slots_per_node);
         self.dataflow.validated = Some(fp);
-        self.batch_dataflow.tables.validated = Some(fp);
     }
 }

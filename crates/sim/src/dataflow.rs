@@ -43,7 +43,7 @@ struct RsState {
     executed: bool,
 }
 
-pub(crate) fn port_idx(p: Port) -> usize {
+fn port_idx(p: Port) -> usize {
     match p {
         Port::Left => 0,
         Port::Right => 1,
@@ -56,7 +56,7 @@ pub(crate) fn port_idx(p: Port) -> usize {
 /// slot-hash lookup on delivery) and register targets carry their bank
 /// column.
 #[derive(Clone, Copy)]
-pub(crate) enum ResolvedTarget {
+enum ResolvedTarget {
     /// An operand port of instruction `inst`, which lives on `node`.
     Port { inst: usize, node: Coord, port: Port },
     /// Architectural register `reg`, written through the bank above
@@ -74,7 +74,7 @@ enum Ev {
 }
 
 /// Reserve an issue slot at cycle granularity on a per-tick [`Throttle`].
-pub(crate) fn reserve_cycle(t: &mut Throttle, now: Tick) -> Tick {
+fn reserve_cycle(t: &mut Throttle, now: Tick) -> Tick {
     (t.reserve(now / 2) * 2).max(now)
 }
 
@@ -118,18 +118,18 @@ pub(crate) struct DataflowScratch {
     events: CalendarQueue<(), (usize, Ev)>,
     frames: Vec<Frame>,
     /// Which ports of each instruction must be filled before issue.
-    pub(crate) required: Vec<[bool; 3]>,
+    required: Vec<[bool; 3]>,
     /// Every instruction's resolved targets, flattened: instruction `i`
     /// owns `resolved[span.0..span.1]` for `span = resolved_span[i]`, in
     /// the same order as `insts()[i].targets` (so LMW word `k` still
     /// maps to target `k`).
-    pub(crate) resolved: Vec<ResolvedTarget>,
-    pub(crate) resolved_span: Vec<(u32, u32)>,
+    resolved: Vec<ResolvedTarget>,
+    resolved_span: Vec<(u32, u32)>,
     /// Port destinations of register reads, flattened like `resolved`.
-    pub(crate) reg_read_dsts: Vec<(usize, Port, Coord)>,
-    pub(crate) reg_read_span: Vec<(u32, u32)>,
+    reg_read_dsts: Vec<(usize, Port, Coord)>,
+    reg_read_span: Vec<(u32, u32)>,
     /// Dense grid index of each instruction's node, for issue throttling.
-    pub(crate) inst_node: Vec<usize>,
+    inst_node: Vec<usize>,
     /// Per-node issue throttles, indexed by dense grid index.
     node_issue: Vec<Throttle>,
     reg_bank_ports: Vec<Throttle>,
@@ -150,10 +150,8 @@ impl DataflowScratch {
     /// Validate `block` for `m`'s shape (memoized on [`Self::validated`])
     /// and rebuild every block-shape table: slot index, required-port
     /// issue conditions, resolved targets, register-read destinations,
-    /// and per-instruction node indices. Shared by the scalar engine and
-    /// the lane-batched engine ([`crate::batch`]) so both execute from
-    /// bit-identical routing and readiness tables.
-    pub(crate) fn build_tables(
+    /// and per-instruction node indices.
+    fn build_tables(
         &mut self,
         block: &DataflowBlock,
         m: &Machine,

@@ -22,16 +22,16 @@ use crate::{EngineArena, Machine};
 
 /// Per-node execution state.
 #[derive(Clone)]
-pub(crate) struct NodeState {
-    pub(crate) regs: [Value; 32],
-    pub(crate) pc: usize,
-    pub(crate) halted: bool,
+struct NodeState {
+    regs: [Value; 32],
+    pc: usize,
+    halted: bool,
     /// Set while blocked on a `Recv` whose message has not arrived.
-    pub(crate) blocked_recv: Option<usize /* src node rank */>,
+    blocked_recv: Option<usize /* src node rank */>,
 }
 
 impl NodeState {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         NodeState { regs: [Value::ZERO; 32], pc: 0, halted: false, blocked_recv: None }
     }
 }
@@ -41,7 +41,7 @@ impl NodeState {
 /// A flat table indexed `src * n_ranks + dst`, so every `Send`/`Recv` is a
 /// dense array access instead of a hash lookup.
 #[derive(Default)]
-pub(crate) struct Channels {
+struct Channels {
     queues: Vec<VecDeque<(Tick, Value)>>,
     n_ranks: usize,
 }
@@ -49,7 +49,7 @@ pub(crate) struct Channels {
 impl Channels {
     /// Size the table for `n_ranks` and empty every channel, retaining
     /// each queue's allocation from prior runs.
-    pub(crate) fn reset(&mut self, n_ranks: usize) {
+    fn reset(&mut self, n_ranks: usize) {
         for q in &mut self.queues {
             q.clear();
         }
@@ -57,7 +57,7 @@ impl Channels {
         self.n_ranks = n_ranks;
     }
 
-    pub(crate) fn get_mut(&mut self, src: usize, dst: usize) -> &mut VecDeque<(Tick, Value)> {
+    fn get_mut(&mut self, src: usize, dst: usize) -> &mut VecDeque<(Tick, Value)> {
         &mut self.queues[src * self.n_ranks + dst]
     }
 }
@@ -69,22 +69,11 @@ impl Channels {
 /// `(tick, rank)` order, independent of push order.
 type ReadyQueue = CalendarQueue<usize, ()>;
 
-/// Log2 bucket width (in ticks) for the MIMD ready queues — scalar and
-/// batched. One tick per bucket: instrumented blowfish/M runs show the
-/// MIMD schedule is *dense* in tick space (average cursor walk 0.01
-/// slots/pop, overflow heap never touched), so wider buckets buy
-/// nothing and cost ~20% throughput — every dense push then pays the
-/// in-bucket sorted-insert scan past later-tick events sharing the
-/// bucket (measurements in `EXPERIMENTS.md`). The knob stays because
-/// pop order is identical for any shift (the
-/// `bucket_shift_is_unobservable` property test), making it safe to
-/// re-tune if a genuinely sparse workload appears.
-pub(crate) const MIMD_BUCKET_SHIFT: u32 = 0;
-
 /// Recyclable storage for one MIMD run, owned by an
 /// [`EngineArena`](crate::EngineArena). Rebuilt per run; the allocations
 /// (node states, channel table, ready-queue buckets, rank/coord tables)
 /// carry over.
+#[derive(Default)]
 pub(crate) struct MimdScratch {
     queue: ReadyQueue,
     channels: Channels,
@@ -96,21 +85,8 @@ pub(crate) struct MimdScratch {
     send_coords: Vec<Coord>,
 }
 
-impl Default for MimdScratch {
-    fn default() -> Self {
-        MimdScratch {
-            queue: ReadyQueue::with_window_shift(crate::equeue::DEFAULT_WINDOW, MIMD_BUCKET_SHIFT),
-            channels: Channels::default(),
-            nodes: Vec::new(),
-            ranks: Vec::new(),
-            coords: Vec::new(),
-            send_coords: Vec::new(),
-        }
-    }
-}
-
 /// Outcome of executing one instruction.
-pub(crate) enum Step {
+enum Step {
     /// Node continues; next instruction may start at this tick.
     Continue(Tick),
     /// Node executed `halt`.
@@ -580,7 +556,7 @@ impl Machine {
     }
 }
 
-pub(crate) trait RankCoord {
+trait RankCoord {
     fn coord_of_rank(&self, rank: usize, _n_ranks: usize) -> Coord;
 }
 

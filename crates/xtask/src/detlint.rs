@@ -23,26 +23,6 @@
 //!   or index-keyed arrays; a justified lookup-only site goes in the
 //!   allowlist.
 //!
-//! Additionally forbidden in the lane-batched engine
-//! (`crates/sim/src/batch/`), whose bit-identity contract (DESIGN.md
-//! §10) rests on every observable per-class step walking lane classes in
-//! ascending index order:
-//!
-//! * `.rev()` — descending iteration would reorder per-class fault
-//!   rolls and stats updates relative to the scalar engines.
-//! * `sort_unstable` — unspecified tie order; use a stable sort keyed
-//!   on the class index if ordering is ever needed.
-//! * `swap_remove` — reorders the tail; lane-indexed tables must keep
-//!   their positions.
-//! * `.keys()` / `.values()` — map iteration hides what order classes
-//!   are visited in; iterate the class index range instead.
-//! * `continue` between `detlint: simd-loop-begin` / `simd-loop-end`
-//!   markers — the tagged word-at-a-time passes (DESIGN.md §12) are
-//!   branch-free by contract so the autovectorizer can keep them SIMD
-//!   (`cargo xtask asmcheck` greps the release assembly for vector
-//!   ops); a per-lane early-`continue` reintroduces control flow.
-//!   Select with a mask word instead.
-//!
 //! Additionally forbidden in the persistence layer
 //! (`crates/core/src/store/`), whose crash-consistency contract
 //! (DESIGN.md §11) requires every durable write to go through the
@@ -57,11 +37,8 @@
 //! The allowlist (`detlint.allow`) holds one entry per line:
 //! `<path> <token> # <justification>`. Entries without a justification
 //! and entries matching no finding are themselves errors, so the file
-//! can only shrink or stay honest. A batch-rule escape hatch works the
-//! same way: an entry like `crates/sim/src/batch.rs .rev() # <why the
-//! reversal cannot reach per-class observable state>` admits one
-//! justified site — the store rule's own escape hatch is the
-//! `crates/core/src/store/atomic.rs File::create` entry, the single
+//! can only shrink or stay honest. The store rule's own escape hatch is
+//! the `crates/core/src/store/atomic.rs File::create` entry, the single
 //! place a file may be created directly (the atomic writer's tempfile).
 
 use std::path::{Path, PathBuf};
@@ -115,29 +92,6 @@ const STORE_DIR: &str = "crates/core/src/store/";
 const STORE_TOKENS: &[(&str, &str)] = &[
     ("fs::write", "bare write has no fsync/rename commit point; use atomic_write_file"),
     ("File::create", "bare creation bypasses the atomic writer; use AppendWriter"),
-];
-
-/// The lane-batched engine sources, held to the strictest rule set.
-const BATCH_DIR: &str = "crates/sim/src/batch/";
-
-/// Raw-source markers bracketing the tagged SIMD loops in the batch
-/// engine's word-at-a-time passes. Comments are stripped before token
-/// scanning, so the marker search runs on the raw source while the
-/// `continue` search runs on the stripped code between the markers.
-const SIMD_BEGIN: &str = "detlint: simd-loop-begin";
-/// Closing marker; see [`SIMD_BEGIN`].
-const SIMD_END: &str = "detlint: simd-loop-end";
-
-/// Tokens forbidden in [`BATCH_DIR`]: anything that iterates lane
-/// classes in other than ascending index order (or an unspecified
-/// order) can desync the batched engines from their scalar twins while
-/// every test still passes on symmetric workloads.
-const BATCH_TOKENS: &[(&str, &str)] = &[
-    (".rev()", "descending iteration reorders observable per-class steps"),
-    ("sort_unstable", "unspecified tie order across lane classes"),
-    ("swap_remove", "reorders lane-indexed storage"),
-    (".keys()", "map iteration order hides the class visit order"),
-    (".values()", "map iteration order hides the class visit order"),
 ];
 
 /// One forbidden-token occurrence.
@@ -239,10 +193,6 @@ pub fn run(allow_path: &str, format: Format) -> ExitCode {
             scan(&rel, &code, AMBIENT_TOKENS, &mut findings);
             if hot {
                 scan(&rel, &code, HASH_TOKENS, &mut findings);
-            }
-            if rel.starts_with(BATCH_DIR) {
-                scan(&rel, &code, BATCH_TOKENS, &mut findings);
-                scan_simd_continue(&rel, &source, &code, &mut findings);
             }
             if rel.starts_with(STORE_DIR) {
                 scan(&rel, before_tests(&code), STORE_TOKENS, &mut findings);
@@ -424,34 +374,6 @@ fn before_tests(code: &str) -> &str {
     code.find("#[cfg(test)]").map_or(code, |at| &code[..at])
 }
 
-/// Flag `continue` inside the tagged SIMD loops of a batch-engine file.
-///
-/// Markers live in comments (which [`strip_comments_and_strings`]
-/// blanks), so marker state tracks the *raw* source while the token
-/// search reads the stripped *code* of the same line — prose about
-/// `continue` never fires, and a marker can't be smuggled inside a
-/// string. The allowlist escape hatch works like every other rule: an
-/// entry `<file> continue # <why the branch cannot reach a vector
-/// lane>` admits one justified site.
-fn scan_simd_continue(path: &str, raw: &str, code: &str, out: &mut Vec<Finding>) {
-    let mut inside = false;
-    for (i, (raw_line, code_line)) in raw.lines().zip(code.lines()).enumerate() {
-        if raw_line.contains(SIMD_BEGIN) {
-            inside = true;
-        } else if raw_line.contains(SIMD_END) {
-            inside = false;
-        } else if inside && code_line.contains("continue") {
-            out.push(Finding {
-                path: path.to_string(),
-                line: i + 1,
-                token: "continue",
-                why: "per-lane early-continue inside a tagged SIMD loop reintroduces \
-                      control flow the autovectorizer cannot remove; select with a mask word",
-            });
-        }
-    }
-}
-
 /// Record every line of `code` containing one of `tokens`.
 fn scan(path: &str, code: &str, tokens: &[(&'static str, &'static str)], out: &mut Vec<Finding>) {
     for (i, line) in code.lines().enumerate() {
@@ -629,28 +551,6 @@ let m: HashMap<u32, u32> = HashMap::new();
         let src = "a\n/* x\ny */\nb\n";
         let code = strip_comments_and_strings(src);
         assert_eq!(code.lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn batch_tokens_catch_lane_order_dependence() {
-        let mut findings = Vec::new();
-        let code = "for c in (0..nc).rev() {\n}\nlive.swap_remove(i);\n";
-        scan("crates/sim/src/batch/mimd.rs", code, BATCH_TOKENS, &mut findings);
-        let tokens: Vec<&str> = findings.iter().map(|f| f.token).collect();
-        assert_eq!(tokens, vec![".rev()", "swap_remove"]);
-    }
-
-    #[test]
-    fn simd_continue_fires_only_between_markers() {
-        let raw = "loop {\n    continue;\n}\n// detlint: simd-loop-begin\nfor c in 0..nc {\n    \
-                   if skip { continue; }\n    // a comment about continue\n}\n\
-                   // detlint: simd-loop-end\nif x { continue; }\n";
-        let code = strip_comments_and_strings(raw);
-        let mut findings = Vec::new();
-        scan_simd_continue("crates/sim/src/batch/mask.rs", raw, &code, &mut findings);
-        assert_eq!(findings.len(), 1, "only the in-marker code continue fires");
-        assert_eq!(findings[0].line, 6);
-        assert_eq!(findings[0].token, "continue");
     }
 
     #[test]

@@ -22,14 +22,9 @@
 //!   uninterrupted run's; plus a seeded randomized kill campaign.
 //! * `storeck` — run the store fsck (scan, quarantine, gc, restamp) on
 //!   a result-store directory and print its report.
-//! * `asmcheck` — the autovectorization gate: emits release assembly
-//!   for `trips-sim` and requires every tagged SIMD pass in the batch
-//!   engine (`crates/sim/src/batch/mask.rs`, DESIGN.md §12) to contain
-//!   vector instructions.
 
 use std::process::ExitCode;
 
-mod asmcheck;
 mod chaos;
 mod detlint;
 mod grid;
@@ -42,13 +37,12 @@ fn main() -> ExitCode {
         Some("analyze-grid") => grid::analyze_grid(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
         Some("storeck") => chaos::storeck(&args[1..]),
-        Some("asmcheck") => asmcheck::run(),
         _ => {
             eprintln!(
                 "usage: cargo xtask <detlint [allowlist] [--format human|json|github] | \
                  verify-grid | \
                  analyze-grid [--deny-warnings] [--budget N] [--json path] | \
-                 chaos [--quick] [--seed N] [--trials N] | storeck <dir> | asmcheck>"
+                 chaos [--quick] [--seed N] [--trials N] | storeck <dir>>"
             );
             ExitCode::FAILURE
         }

@@ -1,36 +1,33 @@
-//! Tier-1 contract of the lane-batched engine (DESIGN.md §10): for
-//! every lane, [`run_prepared_batch_in`] returns **bit-identical**
-//! results — statistics, fault counters, mismatch index, and structured
-//! errors — to running [`run_prepared_in`] on that lane alone.
+//! Tier-1 contract of the lane-batched entry point: for every lane,
+//! [`run_prepared_batch_in`] returns **bit-identical** results —
+//! statistics, fault counters, mismatch index, and structured errors —
+//! to running [`run_prepared_in`] on that lane alone, although it
+//! simulates each uniformity class only once.
 //!
 //! 1. Every cell of the full kernel × configuration grid, batched with
-//!    genuinely divergent lanes (distinct workload seeds → distinct
-//!    uniformity classes → the lockstep path).
-//! 2. Uniform lanes (the collapse path) replicate the scalar result.
-//! 3. Mixed record counts in one batch (cross-record packing,
-//!    DESIGN.md §12): exhausted lanes mask off as padded tails, and
-//!    lanes whose counts pad to the same unroll multiple collapse into
-//!    one class while each still verifies its own prefix.
+//!    distinct workload seeds (one class per lane).
+//! 2. Uniform lanes collapse to one class and replicate the scalar
+//!    result.
+//! 3. Mixed record counts in one batch: lanes whose counts pad to the
+//!    same unroll multiple collapse into one class while each still
+//!    verifies its own prefix.
 //! 4. Properties: arbitrary fault plans with distinct per-lane salts —
 //!    including plans that kill some lanes and not others — and
 //!    arbitrary per-lane record counts batch identically on both engine
-//!    families. Bit-identity to the scalar runs is exactly the
-//!    statement that a padded-off (masked) lane never contributes to
-//!    any sibling's stat counter.
+//!    families, so no lane's result depends on its siblings.
 
 use std::sync::OnceLock;
 
 use dlp_common::{FaultPlan, FaultRate};
 use dlp_core::{
-    batchable, prepare_kernel, run_prepared_batch_in, run_prepared_in, BatchLane,
-    ExperimentParams, MachineConfig, PreparedProgram, RunScratch,
+    prepare_kernel, run_prepared_batch_in, run_prepared_in, BatchLane, ExperimentParams,
+    MachineConfig, PreparedProgram, RunScratch,
 };
 use dlp_kernels::{suite, DlpKernel};
 use proptest::prelude::*;
 
 /// Three lanes varying only the workload seed: three uniformity
-/// classes, so the lockstep engine (not the uniform-collapse fast path)
-/// carries the batch.
+/// classes, so nothing collapses.
 fn seed_lanes(base: &ExperimentParams, records: usize) -> Vec<BatchLane> {
     (0..3u64)
         .map(|i| BatchLane {
@@ -49,7 +46,6 @@ fn every_grid_cell_batches_bit_identically() {
             let prepared = prepare_kernel(k.as_ref(), config.mechanisms(), records, &base)
                 .unwrap_or_else(|e| panic!("{} on {config} fails to lower: {e}", k.name()));
             let lanes = seed_lanes(&base, records);
-            assert!(batchable(&lanes));
 
             let mut scratch = RunScratch::new();
             let scalar: Vec<_> = lanes
@@ -84,12 +80,10 @@ fn uniform_lanes_collapse_to_the_scalar_result() {
 }
 
 #[test]
-fn mixed_record_counts_batch_in_lockstep() {
-    // Cross-record packing: records 8 / 24 / 64 join one batch. The
-    // short lanes exhaust first and ride along as mask-padded tails
-    // while the 64-record lane keeps the shared queue busy; distinct
-    // seeds keep the lanes in distinct uniformity classes so the
-    // lockstep path (not uniform collapse) carries the batch.
+fn mixed_record_counts_batch_identically() {
+    // Records 8 / 24 / 64 join one batch; distinct seeds keep the
+    // lanes in distinct uniformity classes, so each lane is its own
+    // simulation and must match its scalar run exactly.
     let base = ExperimentParams::default();
     let k = suite().into_iter().find(|k| k.name() == "convert").expect("suite kernel");
     for config in [MachineConfig::S, MachineConfig::M] {
@@ -103,7 +97,6 @@ fn mixed_record_counts_batch_in_lockstep() {
                 params: ExperimentParams { seed: base.seed.wrapping_add(i as u64), ..base },
             })
             .collect();
-        assert!(batchable(&lanes), "mixed record counts must be batchable on {config}");
         let mut scratch = RunScratch::new();
         let scalar: Vec<_> = lanes
             .iter()
@@ -131,7 +124,6 @@ fn padded_tails_share_a_class_yet_verify_their_own_prefix() {
     let hi = 4 * u;
     let lo = hi - (u.saturating_sub(1)); // pads back up to `hi` when u > 1
     let lanes = vec![BatchLane { records: hi, params }, BatchLane { records: lo, params }];
-    assert!(batchable(&lanes));
     let mut scratch = RunScratch::new();
     let scalar: Vec<_> = lanes
         .iter()
@@ -208,9 +200,8 @@ proptest! {
     /// Arbitrary fault plans, distinct per-lane salts, both engine
     /// families, lane counts 1 / 2 / 8: per-lane results — successes,
     /// fault counters, watchdogs, unrecoverable-fault errors — are
-    /// bit-identical between the batched and scalar paths. Divergence
-    /// (one lane dying while siblings run on) is exactly what the
-    /// event-mask machinery must keep invisible.
+    /// bit-identical between the batched and scalar paths, including
+    /// batches where one lane dies while its siblings run on.
     #[test]
     fn arbitrary_fault_plans_batch_identically(
         plan in arb_plan(),
@@ -242,9 +233,8 @@ proptest! {
     /// Arbitrary per-lane record counts in one batch: every lane's
     /// stats, mismatch index, and errors are bit-identical to its
     /// scalar run. The scalar run never sees the sibling lanes, so
-    /// equality is precisely the property that a padded-off (masked)
-    /// lane contributes to no stat counter while its longer siblings
-    /// drain the queue.
+    /// equality is precisely the property that a shorter lane
+    /// contributes to no sibling's stat counter.
     #[test]
     fn padded_off_lanes_never_contribute_to_stats(
         recs in proptest::collection::vec(1usize..65, 2..9),
@@ -263,7 +253,6 @@ proptest! {
                     },
                 })
                 .collect();
-            prop_assert!(batchable(&lanes));
             let mut scratch = RunScratch::new();
             let scalar: Vec<_> = lanes
                 .iter()

@@ -64,3 +64,17 @@ fn anisotropic_is_characterized_but_excluded() {
     assert!(!k.in_perf_suite());
     assert!(k.ir().validate().is_ok());
 }
+
+#[test]
+fn highpassfilter_mimd_is_bit_exact_at_full_scale() {
+    // Workload seed 5 at 2048 records puts some outputs near zero, where
+    // a serial MIMD sum differs from the reference's tree sum by more than
+    // the f32 tolerance; the MIMD program must sum in the tree order.
+    let params = ExperimentParams { seed: 5, ..ExperimentParams::default() };
+    let k = suite().into_iter().find(|k| k.name() == "highpassfilter").expect("suite kernel");
+    for config in [MachineConfig::M, MachineConfig::MD] {
+        let out = run_kernel(k.as_ref(), config, 2048, &params)
+            .unwrap_or_else(|e| panic!("highpassfilter on {config}: {e}"));
+        assert!(out.verified(), "highpassfilter on {config}: mismatch at {:?}", out.mismatch);
+    }
+}
